@@ -1260,10 +1260,6 @@ impl Testbed {
             .saturating_sub(self.data_start)
             .max(Nanos::from_micros(1));
 
-        // Per-flow delay extraction.
-        let mut setup_ms = Vec::new();
-        let mut forwarding_ms = Vec::new();
-        let mut switch_ms = Vec::new();
         // Per flow: first packet's (enter, left, key), last left time,
         // delivered count, total count.
         type FlowAgg = (Option<(Nanos, Nanos, FlowKey)>, Option<Nanos>, usize, usize);
@@ -1283,6 +1279,10 @@ impl Testbed {
                 entry.1 = Some(entry.1.map_or(l, |prev: Nanos| prev.max(l)));
             }
         }
+        // Per-flow delay extraction: at most one sample per flow each.
+        let mut setup_ms = Vec::with_capacity(per_flow.len());
+        let mut forwarding_ms = Vec::with_capacity(per_flow.len());
+        let mut switch_ms = Vec::with_capacity(per_flow.len());
         let mut flows_completed = 0usize;
         for (first, last_left, delivered, total) in per_flow.values() {
             if *delivered == *total && *total > 0 {

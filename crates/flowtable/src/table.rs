@@ -3,6 +3,8 @@
 use crate::FlowRule;
 use sdnbuf_openflow::{msg::FlowRemovedReason, Match, MatchView};
 use sdnbuf_sim::{FastHashMap, Nanos};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// What the table does when an insert arrives while full.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -90,6 +92,13 @@ pub struct FlowTable {
     /// unordered. These still need a matches() scan, but reactive tables
     /// hold at most a handful (table-miss, ARP, flow-key rules).
     wild: Vec<usize>,
+    /// Expiry index: a lazy min-heap of `(deadline, slot)` entries. Every
+    /// live rule with a timeout has at least one entry whose deadline is
+    /// `<=` its true deadline; entries for dead slots and entries made
+    /// stale by later hits are repaired or dropped when they reach the top.
+    expiry: BinaryHeap<Reverse<(Nanos, usize)>>,
+    /// Scratch list of due slots, reused by every expiry sweep.
+    due: Vec<usize>,
     lookups: u64,
     hits: u64,
 }
@@ -109,6 +118,11 @@ fn exact_key(m: &Match) -> MatchView {
         tp_src: m.tp_src,
         tp_dst: m.tp_dst,
     }
+}
+
+/// The moment `rule` expires if it receives no further hits.
+fn deadline(rule: &FlowRule) -> Option<Nanos> {
+    rule.expiry_deadline(rule.installed_at.max(rule.last_hit))
 }
 
 impl FlowTable {
@@ -137,6 +151,8 @@ impl FlowTable {
             exact: FastHashMap::default(),
             exact_dups: Vec::new(),
             wild: Vec::new(),
+            expiry: BinaryHeap::new(),
+            due: Vec::new(),
             lookups: 0,
             hits: 0,
         }
@@ -212,6 +228,9 @@ impl FlowTable {
             // time (OVS treats the duplicate as a modify of the live rule).
             rule.installed_at = existing.installed_at.min(rule.installed_at);
             *existing = rule;
+            // The new timeouts may fall due sooner than every entry the
+            // old rule left in the expiry index.
+            self.index_expiry(i);
             return InsertOutcome::Replaced;
         }
         if self.is_full() {
@@ -302,8 +321,39 @@ impl FlowTable {
         }
     }
 
-    /// Classifies the rule at `idx` into the lookup index.
+    /// Pushes the current deadline of the rule at `idx` into the expiry
+    /// index, if it has one. Rebuilds the heap once stale entries make up
+    /// most of it, so its size stays O(rules) however many re-adds land.
+    fn index_expiry(&mut self, idx: usize) {
+        if let Some(at) = deadline(self.rule(idx)) {
+            self.expiry.push(Reverse((at, idx)));
+            if self.expiry.len() > 2 * self.rules.len() + 64 {
+                self.rebuild_expiry();
+            }
+        }
+    }
+
+    /// Rebuilds the expiry index from the live rules, in place.
+    fn rebuild_expiry(&mut self) {
+        let mut entries = std::mem::take(&mut self.expiry).into_vec();
+        entries.clear();
+        entries.extend(
+            self.rules
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| Some(Reverse((deadline(r.as_ref()?)?, i)))),
+        );
+        self.expiry = BinaryHeap::from(entries);
+    }
+
+    /// Classifies the rule at `idx` into the lookup and expiry indexes.
     fn index_rule(&mut self, idx: usize) {
+        self.index_match(idx);
+        self.index_expiry(idx);
+    }
+
+    /// Classifies the rule at `idx` into the exact/wildcard lookup index.
+    fn index_match(&mut self, idx: usize) {
         if self.rule(idx).match_fields.is_exact() {
             match self.exact.entry(exact_key(&self.rule(idx).match_fields)) {
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -316,15 +366,16 @@ impl FlowTable {
         }
     }
 
-    /// Recomputes the exact/wildcard index from scratch after a
+    /// Recomputes the lookup and expiry indexes from scratch after a
     /// compaction shifts positions. All slots are live at that point.
     fn rebuild_index(&mut self) {
         self.exact.clear();
         self.exact_dups.clear();
         self.wild.clear();
         for i in 0..self.rules.len() {
-            self.index_rule(i);
+            self.index_match(i);
         }
+        self.rebuild_expiry();
     }
 
     /// Looks up the best rule for a packet **and** updates that rule's hit
@@ -344,9 +395,16 @@ impl FlowTable {
         let best = self.best_index(now, view)?;
         self.hits += 1;
         let rule = self.rules[best].as_mut().expect("indexed slot is live");
+        // A hit only pushes the deadline later, which the lazy expiry index
+        // tolerates, so the fast path leaves it alone. A caller stepping
+        // time backwards would pull the deadline earlier: re-index then.
+        let rewound = now < rule.last_hit;
         rule.last_hit = now;
         rule.packet_count += 1;
         rule.byte_count += packet_bytes as u64;
+        if rewound {
+            self.index_expiry(best);
+        }
         Some(self.rule(best))
     }
 
@@ -389,17 +447,41 @@ impl FlowTable {
     }
 
     /// Removes every rule whose idle or hard timeout has elapsed at `now`;
-    /// returns them with the applicable reason.
+    /// returns them with the applicable reason, in insertion order.
     pub fn expire(&mut self, now: Nanos) -> Vec<RemovedRule> {
         let mut removed = Vec::new();
-        // Position order is insertion order, so removals are reported in
-        // the same order the old retain-based sweep produced.
-        for i in 0..self.rules.len() {
-            let Some(r) = self.rules[i].as_ref() else {
-                continue;
-            };
-            let last_activity = r.installed_at.max(r.last_hit);
-            if r.is_expired(now, last_activity) {
+        self.expire_into(now, &mut removed);
+        removed
+    }
+
+    /// [`FlowTable::expire`] into a caller-owned buffer: appends the removed
+    /// rules to `removed`. Costs O(due · log rules) and, once the buffers
+    /// have grown, allocates nothing.
+    pub fn expire_into(&mut self, now: Nanos, removed: &mut Vec<RemovedRule>) {
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(mut top) = self.expiry.peek_mut() {
+            let Reverse((at, slot)) = *top;
+            if at > now {
+                break;
+            }
+            match self.rules[slot].as_ref().and_then(deadline) {
+                Some(real) if real > now => *top = Reverse((real, slot)),
+                Some(_) => {
+                    due.push(slot);
+                    PeekMut::pop(top);
+                }
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+        }
+        if !due.is_empty() {
+            // Slot order is insertion order, so removals are reported in
+            // the same order a full scan of the table produces.
+            due.sort_unstable();
+            due.dedup();
+            for &i in &due {
+                let r = self.rule(i);
                 let reason =
                     if r.hard_timeout != Nanos::ZERO && now >= r.installed_at + r.hard_timeout {
                         FlowRemovedReason::HardTimeout
@@ -409,21 +491,32 @@ impl FlowTable {
                 let rule = self.remove_at(i);
                 removed.push(RemovedRule { rule, reason });
             }
-        }
-        if !removed.is_empty() {
+            due.clear();
             self.maybe_compact();
         }
-        removed
+        self.due = due;
     }
 
     /// The earliest moment any installed rule can expire, for scheduling the
     /// next expiry sweep. `None` when no rule has a timeout.
-    pub fn next_expiry(&self) -> Option<Nanos> {
-        self.rules
-            .iter()
-            .flatten()
-            .filter_map(|r| r.expiry_deadline(r.installed_at.max(r.last_hit)))
-            .min()
+    ///
+    /// Takes `&mut self` to repair stale expiry-index entries on the way:
+    /// O(log rules) amortized.
+    pub fn next_expiry(&mut self) -> Option<Nanos> {
+        loop {
+            let mut top = self.expiry.peek_mut()?;
+            let Reverse((at, slot)) = *top;
+            match self.rules[slot].as_ref().and_then(deadline) {
+                None => {
+                    PeekMut::pop(top);
+                }
+                Some(real) if real > at => *top = Reverse((real, slot)),
+                Some(real) => {
+                    debug_assert_eq!(real, at, "expiry index entry past its rule's deadline");
+                    return Some(real);
+                }
+            }
+        }
     }
 
     /// Deletes rules matching `pattern` (`OFPFC_DELETE` semantics: a rule is
@@ -607,6 +700,48 @@ mod tests {
         t.insert(Nanos::ZERO, r1.with_idle_timeout(Nanos::from_secs(7)));
         t.insert(Nanos::ZERO, r2.with_hard_timeout(Nanos::from_secs(3)));
         assert_eq!(t.next_expiry(), Some(Nanos::from_secs(3)));
+    }
+
+    #[test]
+    fn shortened_readd_moves_next_expiry_earlier() {
+        let mut t = FlowTable::new(10);
+        let (r, _) = exact_rule(1, 1);
+        t.insert(
+            Nanos::ZERO,
+            r.clone().with_idle_timeout(Nanos::from_secs(9)),
+        );
+        assert_eq!(t.next_expiry(), Some(Nanos::from_secs(9)));
+        t.insert(Nanos::ZERO, r.with_idle_timeout(Nanos::from_secs(2)));
+        assert_eq!(t.next_expiry(), Some(Nanos::from_secs(2)));
+        assert_eq!(t.expire(Nanos::from_secs(2)).len(), 1);
+        assert_eq!(t.next_expiry(), None);
+    }
+
+    #[test]
+    fn hit_with_earlier_clock_reindexes() {
+        let mut t = FlowTable::new(10);
+        let (r, view) = exact_rule(1, 1);
+        t.insert(Nanos::ZERO, r.with_idle_timeout(Nanos::from_secs(10)));
+        t.match_packet(Nanos::from_secs(8), &view, 100);
+        assert_eq!(t.next_expiry(), Some(Nanos::from_secs(18)));
+        // A caller stepping time backwards pulls the deadline earlier.
+        t.match_packet(Nanos::from_secs(2), &view, 100);
+        assert_eq!(t.next_expiry(), Some(Nanos::from_secs(12)));
+        assert_eq!(t.expire(Nanos::from_secs(12)).len(), 1);
+    }
+
+    #[test]
+    fn readds_keep_expiry_index_bounded() {
+        let mut t = FlowTable::new(10);
+        let (r, _) = exact_rule(1, 1);
+        for s in 1..10_000 {
+            t.insert(
+                Nanos::ZERO,
+                r.clone().with_idle_timeout(Nanos::from_secs(s)),
+            );
+            assert!(t.expiry.len() <= 2 * t.rules.len() + 65);
+        }
+        assert_eq!(t.next_expiry(), Some(Nanos::from_secs(9_999)));
     }
 
     #[test]

@@ -152,6 +152,8 @@ pub struct Switch {
     reconcile_queue: VecDeque<BufferId>,
     /// When the next queued reconciliation re-announce goes out.
     next_reconcile: Option<Nanos>,
+    /// Scratch list for expiry sweeps, reused so a sweep allocates nothing.
+    expired: Vec<RemovedRule>,
 }
 
 impl std::fmt::Debug for Switch {
@@ -217,6 +219,7 @@ impl Switch {
             ctrl_suspect: false,
             reconcile_queue: VecDeque::new(),
             next_reconcile: None,
+            expired: Vec::new(),
             config,
         })
     }
@@ -1003,7 +1006,7 @@ impl Switch {
     /// The earliest moment the switch needs a timer callback: flow-table
     /// expiry, a buffer re-request/TTL deadline, a degraded-mode probe, a
     /// liveness deadline, or a paced reconciliation re-announce.
-    pub fn next_timer(&self) -> Option<Nanos> {
+    pub fn next_timer(&mut self) -> Option<Nanos> {
         let liveness =
             (self.epoch_armed && !self.ctrl_suspect && self.config.liveness_timeout > Nanos::ZERO)
                 .then(|| self.last_ctrl_heard + self.config.liveness_timeout);
@@ -1064,7 +1067,9 @@ impl Switch {
                 }
             }
         }
-        for removed in self.table.expire(now) {
+        let mut expired = std::mem::take(&mut self.expired);
+        self.table.expire_into(now, &mut expired);
+        for removed in expired.drain(..) {
             self.tracer.emit(
                 now,
                 EventKind::FlowRuleExpired {
@@ -1080,6 +1085,7 @@ impl Switch {
                 outputs.push(out);
             }
         }
+        self.expired = expired;
         if self.degraded && self.next_probe.is_some_and(|t| t <= now) {
             // Probe window opens: the next fresh miss is admitted. The
             // timer is re-armed when a later miss is shed.

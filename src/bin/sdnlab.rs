@@ -9,6 +9,10 @@
 //! sdnlab help
 //! ```
 //!
+//! Each subcommand declares the one list of flags it accepts; an unknown
+//! flag, a stray argument or a value flag without its value is an error,
+//! and `--help` on any subcommand prints usage without running anything.
+//!
 //! Mechanisms: `none`, `packet:<capacity>`, `flow:<capacity>[:<timeout_ms>]`.
 //! Workloads: `iv` (1000 single-packet flows), `v` (50×20 cross-sequenced),
 //! `single:<n>`, `cross:<flows>x<ppf>/<group>`.
@@ -37,112 +41,117 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "sdnlab — SDN switch-buffer testbed (reproduction of ICDCS'17)\n\
-     \n\
-     USAGE:\n\
-       sdnlab run   [--buffer MECH] [--workload WL] [--rate MBPS] [--seed N]\n\
-                    [--faults SPEC] [--check]\n\
-                    [--retry-policy P] [--ttl DUR] [--degraded N] [--admission POL:CAP]\n\
-                    [--standby warm|cold] [--takeover-delay DUR]\n\
-                    [--keepalive DUR] [--liveness-timeout DUR]\n\
-                    [--events PATH] [--timeline PATH] [--sample-every DUR [--samples PATH]]\n\
-                    [--latency-report] [--dump-on-exit]\n\
-       sdnlab sweep [--section iv|v] [--reps N] [--threads T]\n\
-                    [--events PATH] [--timeline PATH] [--latency-report]\n\
-       sdnlab chaos [--seeds N] [--crash] [--broken] [--broken-ttl] [--broken-epoch]\n\
-                    [--recovery] [--replay SPEC]\n\
-       sdnlab validate [--report PATH] [--tolerance PCT] [--cells SPEC] [--flows N]\n\
-                    [--reps N] [--seed N] [--random N] [--broken] [--threads T]\n\
-       sdnlab claims [--reps N] [--threads T]\n\
-     \n\
-     MECH: none | packet:<capacity> | flow:<capacity>[:<timeout_ms>]\n\
-     WL:   iv | v | single:<n> | cross:<flows>x<ppf>/<group>\n\
-     T:    serial | auto | <worker count>   (default: SDNBUF_THREADS or auto)\n\
-     DUR:  <n>[ns|us|ms|s], default unit ms\n\
-     SPEC: comma-separated key=value fault plan, e.g.\n\
-           'fseed=7,c.loss=p:0.1,c.jitter=500us,s.loss=nth:10,stall=55ms+3ms'\n\
-     \n\
-     FAULT INJECTION:\n\
-       --faults SPEC       run under a composable fault plan (seeded, replayable)\n\
-       --check             verify the protocol invariants over the event stream\n\
-     \n\
-     RECOVERY & OVERLOAD CONTROL:\n\
-       --retry-policy P    re-request pacing: fixed (the paper's Algorithm 1)\n\
-                           or backoff[:<cap>[:<budget>[:drain|drop]]]\n\
-       --ttl DUR           per-entry buffer TTL (expired entries are dropped)\n\
-       --degraded N        consecutive give-ups that trip the switch into\n\
-                           degraded mode (0 = never)\n\
-       --admission POL:CAP bounded controller ingress queue: POL is drop-tail,\n\
-                           drop-head or prefer-rerequests; CAP its depth\n\
-     \n\
-     CRASH / FAILOVER PLANE:\n\
-       --faults 'crash=T+D'       kill the controller at T for D (volatile state\n\
-                                  dropped; epoch-tagged re-handshake on restart)\n\
-       --standby warm|cold        arm the warm-standby controller (warm =\n\
-                                  checkpoint-synced MAC table at crash time)\n\
-       --takeover-delay DUR       detection + takeover latency (default 10ms)\n\
-       --keepalive DUR            echo probe interval (drives the RTT histogram\n\
-                                  and the switch's liveness detector)\n\
-       --liveness-timeout DUR     silence after which the switch suspects the\n\
-                                  controller dead and sheds fresh misses\n\
-     \n\
-     CHAOS HARNESS:\n\
-       --seeds N           scenarios per buffer mechanism (default 50)\n\
-       --crash             generate scenarios with controller-crash windows\n\
-                           (and sampled warm/cold standby takeovers)\n\
-       --broken            disable Algorithm 1's re-request loop; the harness\n\
-                           must catch it (self-test — exits nonzero if it doesn't)\n\
-       --broken-ttl        disable the TTL garbage collector with the TTL armed;\n\
-                           the buffer-expiry invariant must catch it\n\
-       --broken-epoch      disable the buffer's epoch guard under crash windows;\n\
-                           the no-cross-epoch-drain invariant must catch it\n\
-       --recovery          run the fixed recovery matrix (stall + flap, with and\n\
-                           without a mid-recovery crash, against both mechanisms\n\
-                           under fixed and backoff retries)\n\
-       --replay SPEC       re-run one scenario from the spec a failure printed\n\
-     \n\
-     VALIDATION PLANE:\n\
-       --report PATH       where the validate/v1 JSON goes (default\n\
-                           results/validate.json; a TSV twin goes next to it)\n\
-       --tolerance PCT     uniform relative-error tolerance override, percent\n\
-                           (default: per-metric tolerances from DESIGN \u{a7}13)\n\
-       --cells SPEC        explicit cells instead of the full grid, e.g.\n\
-                           'none@20,packet:256@60,flow:256:50@100'\n\
-       --flows N           single-packet flows per run (default 1000)\n\
-       --reps N            repetitions per cell (default 3)\n\
-       --random N          additionally explore N seeded random configs with\n\
-                           shrinking on failure (default 0)\n\
-       --broken            validate against a deliberately mis-derived oracle;\n\
-                           the harness must catch it (self-test \u{2014} exits\n\
-                           nonzero if it doesn't)\n\
-     \n\
-     OBSERVABILITY:\n\
-       --events PATH       structured event log, one JSON object per line\n\
-       --timeline PATH     Chrome trace-event JSON (open at ui.perfetto.dev)\n\
-       --sample-every DUR  TSV time series (occupancy, table size, ctrl Mbps)\n\
-       --samples PATH      where the TSV goes (default results/samples.tsv)\n\
-       --latency-report    per-phase flow-setup latency anatomy (p50/p95/p99\n\
-                           per phase); run: table + results/latency_report.{tsv,json};\n\
-                           sweep: one row per grid cell\n\
-       --dump-on-exit      write a replayable flight-recorder dump (fault spec,\n\
-                           seed, event tail, open spans, histograms) to\n\
-                           results/flightrec/ when the run ends; dumps are also\n\
-                           written automatically on --check violations and on\n\
-                           entry into degraded mode\n\
-       SDNBUF_TRACE=PATH   environment fallback for --events\n\
-     \n\
-     EXAMPLES:\n\
-       sdnlab run --buffer packet:256 --rate 80\n\
-       sdnlab run --buffer packet:16 --rate 100 --latency-report\n\
-       sdnlab run --buffer flow:256:50 --workload v --rate 95 --timeline trace.json\n\
-       sdnlab run --buffer flow:256:20 --workload v --faults 'fseed=7,c.loss=p:0.1' --check\n\
-       sdnlab run --buffer flow:256:20 --retry-policy backoff:200:4 --ttl 250 \\\n\
-                  --degraded 3 --faults 'fseed=7,c.loss=p:0.2' --check\n\
-       sdnlab sweep --section iv --reps 20 --threads 4\n\
-       sdnlab chaos --seeds 200\n\
-       sdnlab chaos --recovery\n\
-       sdnlab validate --random 200\n\
-       sdnlab validate --cells none@20,packet:256@60 --report results/v.json\n"
+    r#"sdnlab — SDN switch-buffer testbed (reproduction of ICDCS'17)
+
+USAGE:
+  sdnlab run   [--buffer MECH] [--workload WL] [--rate MBPS] [--seed N]
+               [--faults SPEC] [--check]
+               [--retry-policy P] [--ttl DUR] [--degraded N] [--admission POL:CAP]
+               [--standby warm|cold] [--takeover-delay DUR]
+               [--keepalive DUR] [--liveness-timeout DUR]
+               [--events PATH] [--timeline PATH] [--sample-every DUR [--samples PATH]]
+               [--latency-report] [--dump-on-exit]
+  sdnlab sweep [--section iv|v] [--reps N] [--threads T]
+               [--events PATH] [--timeline PATH] [--latency-report]
+  sdnlab chaos [--seeds N] [--crash] [--broken] [--broken-ttl] [--broken-epoch]
+               [--recovery] [--replay SPEC]
+  sdnlab validate [--report PATH] [--tolerance PCT] [--cells SPEC] [--flows N]
+               [--reps N] [--seed N] [--random N] [--broken] [--threads T]
+  sdnlab claims [--reps N] [--threads T]
+  sdnlab help | sdnlab <command> --help   print this text; nothing runs
+
+Each command accepts only the flags listed for it; an unknown flag or a
+flag missing its value is an error.
+
+MECH: none | packet:<capacity> | flow:<capacity>[:<timeout_ms>]
+WL:   iv | v | single:<n> | cross:<flows>x<ppf>/<group>
+T:    serial | auto | <worker count>   (default: SDNBUF_THREADS or auto)
+DUR:  <n>[ns|us|ms|s], default unit ms
+SPEC: comma-separated key=value fault plan, e.g.
+      'fseed=7,c.loss=p:0.1,c.jitter=500us,s.loss=nth:10,stall=55ms+3ms'
+
+FAULT INJECTION:
+  --faults SPEC       run under a composable fault plan (seeded, replayable)
+  --check             verify the protocol invariants over the event stream
+
+RECOVERY & OVERLOAD CONTROL:
+  --retry-policy P    re-request pacing: fixed (the paper's Algorithm 1)
+                      or backoff[:<cap>[:<budget>[:drain|drop]]]
+  --ttl DUR           per-entry buffer TTL (expired entries are dropped)
+  --degraded N        consecutive give-ups that trip the switch into
+                      degraded mode (0 = never)
+  --admission POL:CAP bounded controller ingress queue: POL is drop-tail,
+                      drop-head or prefer-rerequests; CAP its depth
+
+CRASH / FAILOVER PLANE:
+  --faults 'crash=T+D'       kill the controller at T for D (volatile state
+                             dropped; epoch-tagged re-handshake on restart)
+  --standby warm|cold        arm the warm-standby controller (warm =
+                             checkpoint-synced MAC table at crash time)
+  --takeover-delay DUR       detection + takeover latency (default 10ms)
+  --keepalive DUR            echo probe interval (drives the RTT histogram
+                             and the switch's liveness detector)
+  --liveness-timeout DUR     silence after which the switch suspects the
+                             controller dead and sheds fresh misses
+
+CHAOS HARNESS:
+  --seeds N           scenarios per buffer mechanism (default 50)
+  --crash             generate scenarios with controller-crash windows
+                      (and sampled warm/cold standby takeovers)
+  --broken            disable Algorithm 1's re-request loop; the harness
+                      must catch it (self-test — exits nonzero if it doesn't)
+  --broken-ttl        disable the TTL garbage collector with the TTL armed;
+                      the buffer-expiry invariant must catch it
+  --broken-epoch      disable the buffer's epoch guard under crash windows;
+                      the no-cross-epoch-drain invariant must catch it
+  --recovery          run the fixed recovery matrix (stall + flap, with and
+                      without a mid-recovery crash, against both mechanisms
+                      under fixed and backoff retries)
+  --replay SPEC       re-run one scenario from the spec a failure printed
+
+VALIDATION PLANE:
+  --report PATH       where the validate/v1 JSON goes (default
+                      results/validate.json; a TSV twin goes next to it)
+  --tolerance PCT     uniform relative-error tolerance override, percent
+                      (default: per-metric tolerances from DESIGN §13)
+  --cells SPEC        explicit cells instead of the full grid, e.g.
+                      'none@20,packet:256@60,flow:256:50@100'
+  --flows N           single-packet flows per run (default 1000)
+  --reps N            repetitions per cell (default 3)
+  --random N          additionally explore N seeded random configs with
+                      shrinking on failure (default 0)
+  --broken            validate against a deliberately mis-derived oracle;
+                      the harness must catch it (self-test — exits
+                      nonzero if it doesn't)
+
+OBSERVABILITY:
+  --events PATH       structured event log, one JSON object per line
+  --timeline PATH     Chrome trace-event JSON (open at ui.perfetto.dev)
+  --sample-every DUR  TSV time series (occupancy, table size, ctrl Mbps)
+  --samples PATH      where the TSV goes (default results/samples.tsv)
+  --latency-report    per-phase flow-setup latency anatomy (p50/p95/p99
+                      per phase); run: table + results/latency_report.{tsv,json};
+                      sweep: one row per grid cell
+  --dump-on-exit      write a replayable flight-recorder dump (fault spec,
+                      seed, event tail, open spans, histograms) to
+                      results/flightrec/ when the run ends; dumps are also
+                      written automatically on --check violations and on
+                      entry into degraded mode
+  SDNBUF_TRACE=PATH   environment fallback for --events
+
+EXAMPLES:
+  sdnlab run --buffer packet:256 --rate 80
+  sdnlab run --buffer packet:16 --rate 100 --latency-report
+  sdnlab run --buffer flow:256:50 --workload v --rate 95 --timeline trace.json
+  sdnlab run --buffer flow:256:20 --workload v --faults 'fseed=7,c.loss=p:0.1' --check
+  sdnlab run --buffer flow:256:20 --retry-policy backoff:200:4 --ttl 250 \
+             --degraded 3 --faults 'fseed=7,c.loss=p:0.2' --check
+  sdnlab sweep --section iv --reps 20 --threads 4
+  sdnlab chaos --seeds 200
+  sdnlab chaos --recovery
+  sdnlab validate --random 200
+  sdnlab validate --cells none@20,packet:256@60 --report results/v.json
+"#
 }
 
 #[derive(Debug)]
@@ -282,34 +291,148 @@ fn parse_admission(s: &str) -> Result<(AdmissionPolicy, usize), ParseError> {
     Ok((policy, capacity))
 }
 
-/// The `--threads` flag, falling back to `SDNBUF_THREADS` / auto.
-fn threads_flag(args: &[String]) -> Result<Parallelism, ParseError> {
-    match flag(args, "--threads")? {
-        Some(s) => parse_parallelism(&s),
-        None => Ok(Parallelism::from_env()),
-    }
+/// A subcommand's accepted flags: `(name, takes_value)`.
+type FlagSpec = [(&'static str, bool)];
+
+const RUN_FLAGS: &FlagSpec = &[
+    ("--buffer", true),
+    ("--workload", true),
+    ("--rate", true),
+    ("--seed", true),
+    ("--faults", true),
+    ("--check", false),
+    ("--retry-policy", true),
+    ("--ttl", true),
+    ("--degraded", true),
+    ("--admission", true),
+    ("--standby", true),
+    ("--takeover-delay", true),
+    ("--keepalive", true),
+    ("--liveness-timeout", true),
+    ("--events", true),
+    ("--timeline", true),
+    ("--sample-every", true),
+    ("--samples", true),
+    ("--latency-report", false),
+    ("--dump-on-exit", false),
+];
+
+const SWEEP_FLAGS: &FlagSpec = &[
+    ("--section", true),
+    ("--reps", true),
+    ("--threads", true),
+    ("--events", true),
+    ("--timeline", true),
+    ("--latency-report", false),
+];
+
+const CHAOS_FLAGS: &FlagSpec = &[
+    ("--seeds", true),
+    ("--crash", false),
+    ("--broken", false),
+    ("--broken-ttl", false),
+    ("--broken-epoch", false),
+    ("--recovery", false),
+    ("--replay", true),
+];
+
+const VALIDATE_FLAGS: &FlagSpec = &[
+    ("--report", true),
+    ("--tolerance", true),
+    ("--cells", true),
+    ("--flows", true),
+    ("--reps", true),
+    ("--seed", true),
+    ("--random", true),
+    ("--broken", false),
+    ("--threads", true),
+];
+
+const CLAIMS_FLAGS: &FlagSpec = &[("--reps", true), ("--threads", true)];
+
+/// A subcommand's command line, checked against its [`FlagSpec`]: every
+/// argument is a declared flag, and every value flag has its value. When
+/// a flag repeats, its first occurrence wins.
+#[derive(Debug)]
+struct Flags {
+    spec: &'static FlagSpec,
+    given: Vec<(&'static str, Option<String>)>,
 }
 
-/// Key-value flag extraction: `--key value` pairs after the subcommand.
-fn flag(args: &[String], key: &str) -> Result<Option<String>, ParseError> {
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == key {
-            return match iter.next() {
-                Some(v) => Ok(Some(v.clone())),
-                None => Err(ParseError(format!("{key} needs a value"))),
+impl Flags {
+    /// Parses `args` against `spec`; `Ok(None)` when `--help`/`-h` asks for
+    /// usage instead of a run.
+    fn parse(args: &[String], spec: &'static FlagSpec) -> Result<Option<Flags>, ParseError> {
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            return Ok(None);
+        }
+        let mut given = Vec::new();
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            let Some(&(name, takes_value)) = spec.iter().find(|(name, _)| name == arg) else {
+                return Err(ParseError(if arg.starts_with('-') {
+                    format!("unknown flag '{arg}'")
+                } else {
+                    format!("unexpected argument '{arg}'")
+                }));
             };
+            let value = if takes_value {
+                match iter.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(ParseError(format!("{name} needs a value"))),
+                }
+            } else {
+                None
+            };
+            given.push((name, value));
+        }
+        Ok(Some(Flags { spec, given }))
+    }
+
+    /// The value of flag `key`, if given.
+    fn value(&self, key: &str) -> Option<&str> {
+        debug_assert!(
+            self.spec.contains(&(key, true)),
+            "{key} is not a value flag"
+        );
+        self.given
+            .iter()
+            .find(|(name, _)| *name == key)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The value of flag `key` parsed as a `T`; `what` names it in the
+    /// error.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, what: &str) -> Result<Option<T>, ParseError> {
+        self.value(key)
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| ParseError(format!("bad {what} '{s}'")))
+            })
+            .transpose()
+    }
+
+    /// Whether switch `key` was given.
+    fn has(&self, key: &str) -> bool {
+        debug_assert!(self.spec.contains(&(key, false)), "{key} is not a switch");
+        self.given.iter().any(|(name, _)| *name == key)
+    }
+
+    /// The `--threads` flag, falling back to `SDNBUF_THREADS` / auto.
+    fn threads(&self) -> Result<Parallelism, ParseError> {
+        match self.value("--threads") {
+            Some(s) => parse_parallelism(s),
+            None => Ok(Parallelism::from_env()),
         }
     }
-    Ok(None)
-}
 
-/// The `--events` flag, falling back to the `SDNBUF_TRACE` environment
-/// variable (empty value = unset).
-fn events_path_flag(args: &[String]) -> Result<Option<String>, ParseError> {
-    match flag(args, "--events")? {
-        Some(p) => Ok(Some(p)),
-        None => Ok(std::env::var("SDNBUF_TRACE").ok().filter(|s| !s.is_empty())),
+    /// The `--events` flag, falling back to the `SDNBUF_TRACE` environment
+    /// variable (empty value = unset).
+    fn events_path(&self) -> Option<String> {
+        match self.value("--events") {
+            Some(p) => Some(p.to_owned()),
+            None => std::env::var("SDNBUF_TRACE").ok().filter(|s| !s.is_empty()),
+        }
     }
 }
 
@@ -325,52 +448,39 @@ fn create(path: &str) -> Result<std::io::BufWriter<std::fs::File>, ParseError> {
         .map_err(|e| ParseError(format!("{path}: {e}")))
 }
 
-fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
-    let buffer = match flag(args, "--buffer")? {
-        Some(s) => parse_buffer(&s)?,
+fn cmd_run(flags: &Flags) -> Result<ExitCode, ParseError> {
+    let buffer = match flags.value("--buffer") {
+        Some(s) => parse_buffer(s)?,
         None => BufferMode::PacketGranularity { capacity: 256 },
     };
-    let workload = match flag(args, "--workload")? {
-        Some(s) => parse_workload(&s)?,
+    let workload = match flags.value("--workload") {
+        Some(s) => parse_workload(s)?,
         None => WorkloadKind::paper_section_iv(),
     };
-    let rate: u64 = match flag(args, "--rate")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad rate '{s}'")))?,
-        None => 50,
-    };
-    let seed: u64 = match flag(args, "--seed")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad seed '{s}'")))?,
-        None => 1,
-    };
-    let events_path = events_path_flag(args)?;
-    let timeline_path = flag(args, "--timeline")?;
-    let sample_every = match flag(args, "--sample-every")? {
-        Some(s) => Some(parse_duration(&s)?),
-        None => None,
-    };
-    let samples_path = flag(args, "--samples")?;
-    let check = args.iter().any(|a| a == "--check");
-    let latency_report = args.iter().any(|a| a == "--latency-report");
-    let dump_on_exit = args.iter().any(|a| a == "--dump-on-exit");
+    let rate: u64 = flags.parsed("--rate", "rate")?.unwrap_or(50);
+    let seed: u64 = flags.parsed("--seed", "seed")?.unwrap_or(1);
+    let events_path = flags.events_path();
+    let timeline_path = flags.value("--timeline");
+    let sample_every = flags
+        .value("--sample-every")
+        .map(parse_duration)
+        .transpose()?;
+    let samples_path = flags.value("--samples");
+    let check = flags.has("--check");
+    let latency_report = flags.has("--latency-report");
+    let dump_on_exit = flags.has("--dump-on-exit");
     let knobs = RecoveryKnobs {
-        retry: match flag(args, "--retry-policy")? {
-            Some(s) => parse_retry_policy(&s)?,
+        retry: match flags.value("--retry-policy") {
+            Some(s) => parse_retry_policy(s)?,
             None => RetryPolicy::fixed(),
         },
-        ttl: match flag(args, "--ttl")? {
-            Some(s) => parse_duration(&s)?,
+        ttl: match flags.value("--ttl") {
+            Some(s) => parse_duration(s)?,
             None => Nanos::ZERO,
         },
-        degraded_threshold: match flag(args, "--degraded")? {
-            Some(s) => s
-                .parse()
-                .map_err(|_| ParseError(format!("bad degraded threshold '{s}'")))?,
-            None => 0,
-        },
+        degraded_threshold: flags
+            .parsed("--degraded", "degraded threshold")?
+            .unwrap_or(0),
     };
 
     let mut config = ExperimentConfig {
@@ -383,20 +493,20 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     config.testbed.switch.retry = knobs.retry;
     config.testbed.switch.buffer_ttl = knobs.ttl;
     config.testbed.switch.degraded_threshold = knobs.degraded_threshold;
-    if let Some(s) = flag(args, "--admission")? {
-        let (policy, capacity) = parse_admission(&s)?;
+    if let Some(s) = flags.value("--admission") {
+        let (policy, capacity) = parse_admission(s)?;
         config.testbed.controller.admission = policy;
         config.testbed.controller.ingress_queue_capacity = capacity;
     }
-    if let Some(spec) = flag(args, "--faults")? {
-        config.testbed.faults = FaultPlan::parse(&spec).map_err(ParseError)?;
+    if let Some(spec) = flags.value("--faults") {
+        config.testbed.faults = FaultPlan::parse(spec).map_err(ParseError)?;
     }
     // Crash/failover plane knobs. `--standby warm|cold` arms the
     // warm-standby controller; keepalives (echo probes) drive both the
     // RTT histogram and the switch's liveness detector.
-    if let Some(s) = flag(args, "--standby")? {
+    if let Some(s) = flags.value("--standby") {
         config.testbed.failover.standby = true;
-        config.testbed.failover.warm = match s.as_str() {
+        config.testbed.failover.warm = match s {
             "warm" => true,
             "cold" => false,
             other => {
@@ -406,14 +516,14 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
             }
         };
     }
-    if let Some(s) = flag(args, "--takeover-delay")? {
-        config.testbed.failover.takeover_delay = parse_duration(&s)?;
+    if let Some(s) = flags.value("--takeover-delay") {
+        config.testbed.failover.takeover_delay = parse_duration(s)?;
     }
-    if let Some(s) = flag(args, "--keepalive")? {
-        config.testbed.keepalive_interval = Some(parse_duration(&s)?);
+    if let Some(s) = flags.value("--keepalive") {
+        config.testbed.keepalive_interval = Some(parse_duration(s)?);
     }
-    if let Some(s) = flag(args, "--liveness-timeout")? {
-        config.testbed.switch.liveness_timeout = parse_duration(&s)?;
+    if let Some(s) = flags.value("--liveness-timeout") {
+        config.testbed.switch.liveness_timeout = parse_duration(s)?;
     }
     let plan = config.testbed.effective_faults();
     let mut exp = Experiment::new(config);
@@ -513,13 +623,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ParseError> {
     }
     if let Some(every) = sample_every {
         let samples = observe::sample_series(&events, every);
-        let path = samples_path.unwrap_or_else(|| "results/samples.tsv".to_owned());
-        let mut w = create(&path)?;
+        let path = samples_path.unwrap_or("results/samples.tsv");
+        let mut w = create(path)?;
         observe::write_series_tsv(&samples, &mut w)
             .map_err(|e| ParseError(format!("{path}: {e}")))?;
         eprintln!("wrote {} samples to {path}", samples.len());
     }
-    if let Some(path) = &timeline_path {
+    if let Some(path) = timeline_path {
         let mut w = create(path)?;
         observe::export_run_timeline(&run.label, rate, events, &mut w)
             .map_err(|e| ParseError(format!("{path}: {e}")))?;
@@ -573,11 +683,11 @@ fn write_chaos_dump(scenario: &ChaosScenario, sabotage: Sabotage) {
 /// `--recovery` swaps the random sweep for the fixed recovery matrix;
 /// `--broken`/`--broken-ttl` sabotage the mechanism and invert the
 /// expectation (self-test).
-fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
+fn cmd_chaos(flags: &Flags) -> Result<ExitCode, ParseError> {
     let sabotage = Sabotage {
-        disable_rerequest: args.iter().any(|a| a == "--broken"),
-        disable_ttl_gc: args.iter().any(|a| a == "--broken-ttl"),
-        broken_epoch: args.iter().any(|a| a == "--broken-epoch"),
+        disable_rerequest: flags.has("--broken"),
+        disable_ttl_gc: flags.has("--broken-ttl"),
+        broken_epoch: flags.has("--broken-epoch"),
     };
     let sabotaged = sabotage != Sabotage::none();
     let sabotage_flags = format!(
@@ -599,10 +709,10 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
         },
     );
     // A disabled epoch guard is only observable when controllers crash.
-    let crash = args.iter().any(|a| a == "--crash") || sabotage.broken_epoch;
+    let crash = flags.has("--crash") || sabotage.broken_epoch;
 
-    if let Some(spec) = flag(args, "--replay")? {
-        let scenario = ChaosScenario::parse(&spec).map_err(ParseError)?;
+    if let Some(spec) = flags.value("--replay") {
+        let scenario = ChaosScenario::parse(spec).map_err(ParseError)?;
         let report = chaos::run_scenario(&scenario, sabotage);
         println!("scenario: {}", scenario.to_spec());
         println!("digest:   {:016x}", report.digest);
@@ -638,7 +748,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
 
     let mut failures = 0u64;
     let total: u64;
-    if args.iter().any(|a| a == "--recovery") {
+    if flags.has("--recovery") {
         let cells = chaos::recovery_matrix();
         total = cells.len() as u64;
         for (label, scenario) in &cells {
@@ -669,12 +779,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, ParseError> {
             write_chaos_dump(&min, sabotage);
         }
     } else {
-        let seeds: u64 = match flag(args, "--seeds")? {
-            Some(s) => s
-                .parse()
-                .map_err(|_| ParseError(format!("bad seed count '{s}'")))?,
-            None => 50,
-        };
+        let seeds: u64 = flags.parsed("--seeds", "seed count")?.unwrap_or(50);
         let mut mechanisms = vec![
             BufferMode::PacketGranularity { capacity: 256 },
             BufferMode::FlowGranularity {
@@ -772,42 +877,31 @@ fn parse_cells(s: &str) -> Result<Vec<(BufferMode, u64)>, ParseError> {
 /// paper-derived metamorphic laws, and (with `--random N`) explore seeded
 /// off-grid configurations with shrinking on failure. `--broken` swaps in
 /// a deliberately mis-derived oracle and inverts the expectation.
-fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
+fn cmd_validate(flags: &Flags) -> Result<ExitCode, ParseError> {
     let mut config = ValidateConfig::default();
-    if let Some(s) = flag(args, "--cells")? {
-        config.cells = Some(parse_cells(&s)?);
+    if let Some(s) = flags.value("--cells") {
+        config.cells = Some(parse_cells(s)?);
     }
-    if let Some(s) = flag(args, "--tolerance")? {
-        let pct: f64 = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad tolerance '{s}'")))?;
+    if let Some(pct) = flags.parsed::<f64>("--tolerance", "tolerance")? {
         if !pct.is_finite() || pct <= 0.0 {
-            return Err(ParseError(format!("tolerance must be positive, got '{s}'")));
+            return Err(ParseError(format!(
+                "tolerance must be positive, got '{pct}'"
+            )));
         }
         config.tolerances = Tolerances::uniform(pct / 100.0);
     }
-    if let Some(s) = flag(args, "--flows")? {
-        config.flows = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad flow count '{s}'")))?;
-    }
-    if let Some(s) = flag(args, "--reps")? {
-        config.repetitions = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad reps '{s}'")))?;
-    }
-    if let Some(s) = flag(args, "--seed")? {
-        config.base_seed = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad seed '{s}'")))?;
-    }
-    if let Some(s) = flag(args, "--random")? {
-        config.random_configs = s
-            .parse()
-            .map_err(|_| ParseError(format!("bad random config count '{s}'")))?;
-    }
-    config.parallelism = threads_flag(args)?;
-    config.broken = args.iter().any(|a| a == "--broken");
+    config.flows = flags
+        .parsed("--flows", "flow count")?
+        .unwrap_or(config.flows);
+    config.repetitions = flags
+        .parsed("--reps", "reps")?
+        .unwrap_or(config.repetitions);
+    config.base_seed = flags.parsed("--seed", "seed")?.unwrap_or(config.base_seed);
+    config.random_configs = flags
+        .parsed("--random", "random config count")?
+        .unwrap_or(config.random_configs);
+    config.parallelism = flags.threads()?;
+    config.broken = flags.has("--broken");
 
     let report = validate::validate(&config);
 
@@ -869,12 +963,12 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
         }
     }
 
-    let json_path = flag(args, "--report")?.unwrap_or_else(|| "results/validate.json".to_owned());
+    let json_path = flags.value("--report").unwrap_or("results/validate.json");
     let tsv_path = match json_path.strip_suffix(".json") {
         Some(stem) => format!("{stem}.tsv"),
         None => format!("{json_path}.tsv"),
     };
-    let mut w = create(&json_path)?;
+    let mut w = create(json_path)?;
     w.write_all(report.to_json().as_bytes())
         .and_then(|()| w.write_all(b"\n"))
         .map_err(|e| ParseError(format!("{json_path}: {e}")))?;
@@ -916,19 +1010,14 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, ParseError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
-    let reps: usize = match flag(args, "--reps")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad reps '{s}'")))?,
-        None => 5,
-    };
-    let threads = threads_flag(args)?;
-    let section = flag(args, "--section")?.unwrap_or_else(|| "iv".to_owned());
-    let events_path = events_path_flag(args)?;
-    let timeline_path = flag(args, "--timeline")?;
-    let latency_report = args.iter().any(|a| a == "--latency-report");
-    let grid = match section.as_str() {
+fn cmd_sweep(flags: &Flags) -> Result<ExitCode, ParseError> {
+    let reps: usize = flags.parsed("--reps", "reps")?.unwrap_or(5);
+    let threads = flags.threads()?;
+    let section = flags.value("--section").unwrap_or("iv");
+    let events_path = flags.events_path();
+    let timeline_path = flags.value("--timeline");
+    let latency_report = flags.has("--latency-report");
+    let grid = match section {
         "iv" => RateSweep::paper_section_iv(reps),
         "v" => RateSweep::paper_section_v(reps),
         other => return Err(ParseError(format!("unknown section '{other}'"))),
@@ -941,7 +1030,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
                 .map_err(|e| ParseError(format!("{path}: {e}")))?;
             eprintln!("wrote {n} events to {path}");
         }
-        if let Some(path) = &timeline_path {
+        if let Some(path) = timeline_path {
             let mut w = create(path)?;
             observe::export_timeline(&runs, &mut w)
                 .map_err(|e| ParseError(format!("{path}: {e}")))?;
@@ -961,44 +1050,56 @@ fn cmd_sweep(args: &[String]) -> Result<(), ParseError> {
     println!("{}", figures::fig_switch_usage(&sweep));
     println!("{}", figures::fig_flow_setup_delay(&sweep));
     println!("{}", figures::fig_buffer_utilization_mean(&sweep));
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_claims(args: &[String]) -> Result<(), ParseError> {
-    let reps: usize = match flag(args, "--reps")? {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("bad reps '{s}'")))?,
-        None => 5,
-    };
-    let threads = threads_flag(args)?;
+fn cmd_claims(flags: &Flags) -> Result<ExitCode, ParseError> {
+    let reps: usize = flags.parsed("--reps", "reps")?.unwrap_or(5);
+    let threads = flags.threads()?;
     let iv = RateSweep::paper_section_iv(reps).run_with(threads, &StderrProgress::new("iv"));
     let v = RateSweep::paper_section_v(reps).run_with(threads, &StderrProgress::new("v"));
     println!("{}", figures::summary_claims(&iv, &v));
-    Ok(())
+    Ok(ExitCode::SUCCESS)
+}
+
+type Command = fn(&Flags) -> Result<ExitCode, ParseError>;
+
+/// Every subcommand with the one list of flags it accepts.
+const COMMANDS: [(&str, Command, &FlagSpec); 5] = [
+    ("run", cmd_run, RUN_FLAGS),
+    ("sweep", cmd_sweep, SWEEP_FLAGS),
+    ("chaos", cmd_chaos, CHAOS_FLAGS),
+    ("validate", cmd_validate, VALIDATE_FLAGS),
+    ("claims", cmd_claims, CLAIMS_FLAGS),
+];
+
+/// Dispatches `args` (without the program name) to its subcommand, or
+/// prints usage when asked for help.
+fn dispatch(args: &[String]) -> Result<ExitCode, ParseError> {
+    let help = || {
+        println!("{}", usage());
+        Ok(ExitCode::SUCCESS)
+    };
+    let name = match args.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => return help(),
+        Some(name) => name,
+    };
+    let (_, command, spec) = COMMANDS
+        .iter()
+        .find(|(n, _, _)| *n == name)
+        .ok_or_else(|| ParseError(format!("unknown command '{name}'")))?;
+    match Flags::parse(&args[1..], spec)? {
+        Some(flags) => command(&flags),
+        None => help(),
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]).map(|()| ExitCode::SUCCESS),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("claims") => cmd_claims(&args[1..]).map(|()| ExitCode::SUCCESS),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            println!("{}", usage());
-            Ok(ExitCode::SUCCESS)
-        }
-        Some(other) => Err(ParseError(format!("unknown command '{other}'"))),
-    };
-    match result {
-        Ok(code) => code,
-        Err(ParseError(msg)) => {
-            eprintln!("error: {msg}\n\n{}", usage());
-            ExitCode::FAILURE
-        }
-    }
+    dispatch(&args).unwrap_or_else(|ParseError(msg)| {
+        eprintln!("error: {msg}\n\n{}", usage());
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]
@@ -1135,16 +1236,78 @@ mod tests {
         assert!(parse_cells("").is_err());
     }
 
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn flag_extraction() {
-        let args: Vec<String> = ["--rate", "80", "--seed", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag(&args, "--rate").unwrap(), Some("80".to_owned()));
-        assert_eq!(flag(&args, "--seed").unwrap(), Some("3".to_owned()));
-        assert_eq!(flag(&args, "--missing").unwrap(), None);
-        let bad: Vec<String> = vec!["--rate".to_owned()];
-        assert!(flag(&bad, "--rate").is_err());
+        let flags = Flags::parse(
+            &args(&["--rate", "80", "--seed", "3", "--check"]),
+            RUN_FLAGS,
+        )
+        .unwrap()
+        .expect("no --help given");
+        assert_eq!(flags.value("--rate"), Some("80"));
+        assert_eq!(flags.parsed::<u64>("--seed", "seed").unwrap(), Some(3));
+        assert_eq!(flags.value("--buffer"), None);
+        assert!(flags.has("--check"));
+        assert!(!flags.has("--dump-on-exit"));
+        assert!(Flags::parse(&args(&["--rate"]), RUN_FLAGS).is_err());
+    }
+
+    #[test]
+    fn strict_flag_parsing() {
+        let err = |words: &[&str], spec| Flags::parse(&args(words), spec).unwrap_err().0;
+        assert_eq!(err(&["--rtae", "100"], RUN_FLAGS), "unknown flag '--rtae'");
+        assert_eq!(
+            err(&["--rate", "--seed", "3"], RUN_FLAGS),
+            "--rate needs a value"
+        );
+        assert_eq!(
+            err(&["--check", "yes"], RUN_FLAGS),
+            "unexpected argument 'yes'"
+        );
+        // Flags are per subcommand: `run` has no `--threads`.
+        assert_eq!(
+            err(&["--threads", "2"], RUN_FLAGS),
+            "unknown flag '--threads'"
+        );
+        assert!(Flags::parse(&args(&["--rtae", "1", "--help"]), RUN_FLAGS)
+            .unwrap()
+            .is_none());
+        let bad_rate = Flags::parse(&args(&["--rate", "fast"]), RUN_FLAGS)
+            .unwrap()
+            .unwrap();
+        assert!(bad_rate.parsed::<u64>("--rate", "rate").is_err());
+    }
+
+    #[test]
+    fn flag_specs_are_well_formed() {
+        for (name, _, spec) in COMMANDS {
+            for (i, (flag, _)) in spec.iter().enumerate() {
+                assert!(flag.starts_with("--"), "{name}: {flag}");
+                assert!(
+                    spec[..i].iter().all(|(f, _)| f != flag),
+                    "{name}: {flag} declared twice"
+                );
+                assert!(usage().contains(flag), "{name}: {flag} is not in usage()");
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_only_accepted_flags() {
+        let text = usage();
+        for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if word.len() > 2 && word.starts_with("--") && word != "--help" {
+                assert!(
+                    COMMANDS
+                        .iter()
+                        .any(|(_, _, spec)| spec.iter().any(|(f, _)| *f == word)),
+                    "usage() mentions {word}, which no subcommand accepts"
+                );
+            }
+        }
     }
 }
